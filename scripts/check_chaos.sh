@@ -29,6 +29,11 @@
 #   - a client closing the answer stream mid-flight (EPIPE) drains the
 #     server to a clean exit 0 instead of killing it via SIGPIPE.
 #
+# Part 4 — signals on an idle stdin: with the request pipe held open but
+# silent, SIGHUP prints a registry dump within 1 s while the server keeps
+# serving, and SIGTERM then exits 0 within 1 s. A reader that blocks in a
+# read() retried on EINTR (e.g. unsynced iostreams) fails this.
+#
 # Usage:
 #   scripts/check_chaos.sh path/to/bench_loadgen path/to/lipformer_cli
 #
@@ -164,10 +169,21 @@ rm -f "${WORK}/epipe.log"
   echo "pipeline_rc=${PIPESTATUS[0]}" >>"${WORK}/epipe.log" ) &
 PIPE_PID=$!
 exec 4>"${WORK}/req2.fifo"
-printf 'm|%s\n' "${REQ}" >&4
-# head exits after the first answer, breaking the server's stdout; the
-# next answers hit EPIPE, which must trigger a drain, not a SIGPIPE kill.
-for _ in 1 2 3; do printf 'm|%s\n' "${REQ}" >&4; done
+# head exits after the first answer, breaking the server's stdout; a later
+# answer hits EPIPE, which must trigger a drain, not a SIGPIPE kill. Keep
+# feeding requests until the server reports it (at most 500 lines or 30 s):
+# a fixed few answers can all reach the pipe before head exits, and then
+# none of their writes fails. Once the server has drained and exited, a
+# write to the FIFO fails with EPIPE here too, which ends the feed.
+trap '' PIPE
+FEED_DEADLINE=$((SECONDS + 30))
+for _ in $(seq 500); do
+  grep -q "client closed the answer stream" "${WORK}/epipe.log" && break
+  [ "${SECONDS}" -lt "${FEED_DEADLINE}" ] || break
+  printf 'm|%s\n' "${REQ}" >&4 2>/dev/null || break
+  sleep 0.05
+done
+trap - PIPE
 wait_for 30 grep -q "client closed the answer stream" "${WORK}/epipe.log" \
   || { cat "${WORK}/epipe.log" >&2; fail "server never detected EPIPE"; }
 exec 4>&-
@@ -177,5 +193,56 @@ grep -q "pipeline_rc=0" "${WORK}/epipe.log" \
        fail "server did not exit 0 after the client closed the stream"; }
 [ "$(cat "${WORK}/epipe_first.txt")" = "${ANS_B}" ] \
   || fail "first streamed answer wrong before the stream closed"
+
+echo "== chaos part 4: signals are serviced while stdin is idle"
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+# within_ms MS CMD...: true once CMD succeeds, polled for at most MS ms.
+within_ms() {
+  local deadline=$(( $(now_ms) + $1 )); shift
+  until "$@" >/dev/null 2>&1; do
+    [ "$(now_ms)" -lt "${deadline}" ] || return 1
+    sleep 0.02
+  done
+}
+idle_answer_count() { [ "$(wc -l <"${WORK}/idle_answers.txt")" -ge "$1" ]; }
+mkfifo "${WORK}/idle.fifo"
+"${CLI}" serve --load="m=${WORK}/b.bundle" <"${WORK}/idle.fifo" \
+  >"${WORK}/idle_answers.txt" 2>"${WORK}/serve.log" &
+SERVE_PID=$!
+# The writer end stays open and silent: the server sees no EOF, only an
+# idle pipe.
+exec 5>"${WORK}/idle.fifo"
+# One answered request proves the signal handlers are installed.
+printf 'm|%s\n' "${REQ}" >&5
+wait_for 30 idle_answer_count 1 || fail "no answer on the idle-stdin server"
+sleep 0.3
+
+kill -HUP "${SERVE_PID}"
+within_ms 1000 grep -q "^registry: 1 model(s)" "${WORK}/serve.log" \
+  || fail "SIGHUP on an idle stdin printed no registry dump within 1 s"
+printf 'm|%s\n' "${REQ}" >&5
+wait_for 20 idle_answer_count 2 || fail "server stopped serving after SIGHUP"
+[ "$(sed -n 2p "${WORK}/idle_answers.txt")" = "${ANS_B}" ] \
+  || fail "answer after SIGHUP is not bundle B's"
+sleep 0.3
+
+# A watchdog kills a server that ignores SIGTERM, so `wait` cannot hang.
+TERM_START="$(now_ms)"
+kill -TERM "${SERVE_PID}"
+( sleep 5; kill -KILL "${SERVE_PID}" ) >/dev/null 2>&1 &
+WATCHDOG_PID=$!
+SERVE_RC=0
+wait "${SERVE_PID}" || SERVE_RC=$?
+TERM_MS=$(( $(now_ms) - TERM_START ))
+SERVE_PID=""
+pkill -P "${WATCHDOG_PID}" 2>/dev/null || true  # its sleep
+kill "${WATCHDOG_PID}" 2>/dev/null || true
+wait "${WATCHDOG_PID}" 2>/dev/null || true
+exec 5>&-
+[ "${SERVE_RC}" -eq 0 ] \
+  || fail "server exited ${SERVE_RC} after SIGTERM on an idle stdin"
+[ "${TERM_MS}" -le 1000 ] \
+  || fail "server took ${TERM_MS} ms to exit after SIGTERM on an idle stdin"
+echo "   SIGTERM to exit: ${TERM_MS} ms"
 
 echo "== chaos checks passed"

@@ -94,21 +94,30 @@
 // Unknown --options, stray non-option arguments and malformed numbers are
 // usage errors (they used to be silently ignored / parsed as 0).
 
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <future>
-#include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "bench_util/profiler.h"
 #include "common/atomic_file.h"
@@ -121,6 +130,7 @@
 #include "serve/batcher.h"
 #include "serve/registry.h"
 #include "serve/session.h"
+#include "tensor/storage_pool.h"
 #include "train/extended_metrics.h"
 #include "train/trainer.h"
 
@@ -615,11 +625,11 @@ int CmdForecast(const CliArgs& args) {
   return 0;
 }
 
-bool SplitModelPrefix(const std::string& line, std::string* model,
-                      std::string* rest) {
+bool SplitModelPrefix(std::string_view line, std::string_view* model,
+                      std::string_view* rest) {
   const size_t bar = line.find('|');
-  if (bar == std::string::npos) {
-    model->clear();
+  if (bar == std::string_view::npos) {
+    *model = {};
     *rest = line;
     return true;
   }
@@ -628,38 +638,76 @@ bool SplitModelPrefix(const std::string& line, std::string* model,
   return !model->empty();
 }
 
-bool ParseRequestValues(const std::string& csv, int64_t expected,
+bool SplitModelPrefix(const std::string& line, std::string* model,
+                      std::string* rest) {
+  std::string_view model_view;
+  std::string_view rest_view;
+  const bool ok = SplitModelPrefix(std::string_view(line), &model_view,
+                                   &rest_view);
+  model->assign(model_view);
+  rest->assign(rest_view);
+  return ok;
+}
+
+bool ParseRequestValues(std::string_view csv, int64_t expected,
                         std::vector<float>* values, std::string* error) {
   values->clear();
   values->reserve(static_cast<size_t>(expected));
   int64_t fields = 0;
   int64_t bad_field = 0;  // 1-based; 0 = all numeric so far
-  std::string bad_token;
-  std::stringstream stream(csv);
-  std::string field;
-  while (std::getline(stream, field, ',')) {
+  std::string_view bad_token;
+  const char* p = csv.data();
+  const char* const end = p + csv.size();
+  while (p != end) {
     ++fields;
-    double value;
-    if (!ParseDouble(field, &value)) {
+    double value = 0.0;
+    auto [stop, ec] = std::from_chars(p, end, value);
+    bool ok = ec == std::errc() && (stop == end || *stop == ',') &&
+              !std::isnan(value) &&
+              !(value != 0.0 && std::fabs(value) < DBL_MIN);
+    if (!ok) {
+      // from_chars takes no leading space, '+' or hex, reports range
+      // errors unlike strtod, and may drop a NaN payload: every field it
+      // does not accept cleanly goes to ParseDouble, which defines the
+      // grammar, the values and the subnormal/overflow rejections.
+      stop = static_cast<const char*>(
+          std::memchr(p, ',', static_cast<size_t>(end - p)));
+      if (stop == nullptr) stop = end;
+      ok = ParseDouble(std::string(p, stop), &value);
       // Keep counting: the error should report the line's true field
       // count, not how far parsing got (the old message said "got 2" for
       // a 48-field line whose 3rd field was bad).
-      if (bad_field == 0) {
+      if (!ok && bad_field == 0) {
         bad_field = fields;
-        bad_token = field;
+        bad_token = std::string_view(p, static_cast<size_t>(stop - p));
       }
-      continue;
     }
-    if (bad_field == 0) values->push_back(static_cast<float>(value));
+    if (ok && bad_field == 0) values->push_back(static_cast<float>(value));
+    p = stop == end ? end : stop + 1;
   }
   if (bad_field == 0 && fields == expected) return true;
   *error = "error: request needs " + std::to_string(expected) +
            " comma-separated numbers, got " + std::to_string(fields);
   if (bad_field != 0) {
-    *error += " (field " + std::to_string(bad_field) + ": '" + bad_token +
-              "' is not a number)";
+    *error += " (field " + std::to_string(bad_field) + ": '" +
+              std::string(bad_token) + "' is not a number)";
   }
   return false;
+}
+
+void FormatAnswer(const float* values, int64_t count, std::string* out) {
+  // A float's "%g" is at most 12 bytes ("-1.17549e-38"); 16 per value
+  // leaves room for the separator.
+  out->resize(static_cast<size_t>(count) * 16 + 1);
+  char* p = out->data();
+  char* const end = p + out->size();
+  for (int64_t j = 0; j < count; ++j) {
+    if (j > 0) *p++ = ',';
+    // Specified as printf("%g") of the value.
+    p = std::to_chars(p, end, values[j], std::chars_format::general, 6).ptr;
+  }
+  *p++ = '\n';
+  out->resize(static_cast<size_t>(p - out->data()));
 }
 
 namespace {
@@ -785,6 +833,73 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
   return out;
 }
 
+// Line reader over a file descriptor (stdin or --requests FILE): read(2)
+// into one reused buffer that grows to the longest line, split on '\n'.
+// It waits for input in poll() with a 100 ms timeout rather than in a
+// blocking read, so the serve loop services SIGHUP and SIGINT/SIGTERM on
+// an idle input. (Unsynced iostreams are no substitute: libstdc++'s
+// filebuf retries read() on EINTR, so a signal never ends the read.)
+class FdLineReader {
+ public:
+  explicit FdLineReader(int fd) : fd_(fd), buf_(size_t{1} << 16) {}
+
+  // Sets *line to the next line without its '\n' (a view valid until the
+  // next call) and returns true; a final line with no '\n' counts. Calls
+  // `wake` after every poll() wake-up and stops when it returns false.
+  // Returns false at end of input, on a read error, or when stopped.
+  template <typename Wake>
+  bool Next(std::string_view* line, Wake&& wake) {
+    for (;;) {
+      const void* newline =
+          std::memchr(buf_.data() + begin_, '\n', end_ - begin_);
+      if (newline != nullptr) {
+        const size_t stop = static_cast<const char*>(newline) - buf_.data();
+        *line = std::string_view(buf_.data() + begin_, stop - begin_);
+        begin_ = stop + 1;
+        return true;
+      }
+      if (eof_) {
+        if (begin_ == end_) return false;
+        *line = std::string_view(buf_.data() + begin_, end_ - begin_);
+        begin_ = end_;
+        return true;
+      }
+      if (begin_ > 0) {  // drop consumed lines, keep the partial one
+        std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+      }
+      if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+      pollfd pfd = {fd_, POLLIN, 0};
+      const int ready = poll(&pfd, 1, 100);
+      if (ready < 0 && errno != EINTR) return Fail("poll");
+      if (!wake()) return false;
+      if (ready <= 0) continue;
+      const ssize_t n = read(fd_, buf_.data() + end_, buf_.size() - end_);
+      if (n > 0) {
+        end_ += static_cast<size_t>(n);
+      } else if (n == 0) {
+        eof_ = true;
+      } else if (errno != EINTR && errno != EAGAIN) {
+        return Fail("read");
+      }
+    }
+  }
+
+ private:
+  bool Fail(const char* what) {
+    std::fprintf(stderr, "error: %s on the request stream: %s\n", what,
+                 std::strerror(errno));
+    return false;
+  }
+
+  int fd_;
+  std::vector<char> buf_;
+  size_t begin_ = 0;  // start of the first unreturned line
+  size_t end_ = 0;    // end of the bytes read so far
+  bool eof_ = false;
+};
+
 }  // namespace
 
 // Request protocol of `serve`: one request per line — the flattened
@@ -898,16 +1013,22 @@ int CmdServe(const CliArgs& args) {
     session->SetPlanProfiling(true);
   }
 
-  std::ifstream file;
-  std::istream* in = &std::cin;
+  // Opening every bundle parks trace and validation temporaries in the
+  // storage pool that the plan path never reuses; hand them back to the
+  // OS so the first batches' plan arenas do not stack on top of them.
+  ClearStoragePool();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+
+  int in_fd = STDIN_FILENO;
   if (args.Has("requests")) {
-    file.open(args.Get("requests", ""));
-    if (!file) {
+    in_fd = open(args.Get("requests", "").c_str(), O_RDONLY | O_CLOEXEC);
+    if (in_fd < 0) {
       std::fprintf(stderr, "error: cannot open %s\n",
                    args.Get("requests", "").c_str());
       return 1;
     }
-    in = &file;
   }
 
   // Graceful shutdown: the first SIGINT/SIGTERM stops the accept loop
@@ -940,6 +1061,7 @@ int CmdServe(const CliArgs& args) {
   // shutdown of the accept loop.
   bool sink_broken = false;
   std::thread writer([&] {
+    std::string answer;  // reused: one fwrite per answer line
     for (;;) {
       OutputSlot slot;
       {
@@ -951,26 +1073,21 @@ int CmdServe(const CliArgs& args) {
         output_queue.pop_front();
       }
       if (!slot.error.empty()) {
-        if (!sink_broken) {
-          std::printf("%s\n", slot.error.c_str());
-          std::fflush(stdout);
-        }
+        if (sink_broken) continue;
+        answer.assign(slot.error).push_back('\n');
       } else {
         Result<Tensor> result = slot.future.get();
         if (sink_broken) continue;  // drain without printing
         if (!result.ok()) {
-          std::printf("error: %s\n", result.status().ToString().c_str());
+          answer = "error: " + result.status().ToString() + "\n";
         } else {
-          const Tensor& pred = result.value();
-          const float* p = pred.data();
-          for (int64_t j = 0; j < pred.numel(); ++j) {
-            std::printf(j == 0 ? "%g" : ",%g", p[j]);
-          }
-          std::printf("\n");
+          FormatAnswer(result.value().data(), result.value().numel(),
+                       &answer);
         }
-        std::fflush(stdout);
       }
-      if (!sink_broken && std::ferror(stdout)) {
+      std::fwrite(answer.data(), 1, answer.size(), stdout);
+      std::fflush(stdout);
+      if (std::ferror(stdout)) {
         sink_broken = true;
         std::fprintf(stderr,
                      "client closed the answer stream (EPIPE); draining "
@@ -992,23 +1109,15 @@ int CmdServe(const CliArgs& args) {
     emit(std::move(slot));
   };
 
-  // SIGHUP can arrive while getline below is blocked on an idle stdin,
-  // so a small poller services the flag instead of the read loop.
-  std::mutex stats_mu;
-  std::condition_variable stats_cv;
-  bool stats_stop = false;
-  std::thread stats_poller([&] {
-    std::unique_lock<std::mutex> lock(stats_mu);
-    while (!stats_stop) {
-      stats_cv.wait_for(lock, std::chrono::milliseconds(100),
-                        [&] { return stats_stop; });
-      if (stats_stop) return;
-      if (ConsumeStatsRequest()) PrintRegistryStatus(registry);
-    }
-  });
-
-  std::string line;
-  while (!InterruptRequested() && std::getline(*in, line)) {
+  // The reader wakes at least every 100 ms, so a SIGHUP or SIGTERM that
+  // lands while the input is idle is still serviced promptly.
+  FdLineReader reader(in_fd);
+  auto service_signals = [&] {
+    if (ConsumeStatsRequest()) PrintRegistryStatus(registry);
+    return !InterruptRequested();
+  };
+  std::string_view line;
+  while (!InterruptRequested() && reader.Next(&line, service_signals)) {
     if (line.empty()) continue;
     if (line == "!stats") {
       PrintRegistryStatus(registry);
@@ -1021,12 +1130,13 @@ int CmdServe(const CliArgs& args) {
       emit_error(FormatHealthLines(registry));
       continue;
     }
-    std::string model_name;
-    std::string csv;
-    if (!SplitModelPrefix(line, &model_name, &csv)) {
+    std::string_view prefix;
+    std::string_view csv;
+    if (!SplitModelPrefix(line, &prefix, &csv)) {
       emit_error("error: empty model name before '|'");
       continue;
     }
+    std::string model_name(prefix);
     if (model_name.empty()) {
       if (multi) {
         emit_error("error: " + std::to_string(registry.size()) +
@@ -1077,12 +1187,7 @@ int CmdServe(const CliArgs& args) {
   }
   output_cv.notify_all();
   writer.join();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu);
-    stats_stop = true;
-  }
-  stats_cv.notify_all();
-  stats_poller.join();
+  if (in_fd != STDIN_FILENO) close(in_fd);
 
   registry.Shutdown();
   for (const serve::ModelInfo& m : registry.Models()) {

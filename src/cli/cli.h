@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,16 +56,27 @@ Status ValidateArgs(const CliArgs& args);
 
 // Splits an optional "<model>|" routing prefix off a serve request line:
 // "m|1,2" -> ("m", "1,2"); no '|' -> ("", line). Returns false when a
-// '|' is present but the prefix is empty.
+// '|' is present but the prefix is empty. The string_view form returns
+// views into `line` and copies nothing.
+bool SplitModelPrefix(std::string_view line, std::string_view* model,
+                      std::string_view* rest);
 bool SplitModelPrefix(const std::string& line, std::string* model,
                       std::string* rest);
 
 // Parses the comma-separated numbers of a serve request, expecting
 // exactly `expected` of them. On failure the error message reports the
 // total field count of the line (not the count at the first bad field)
-// and names the first malformed token.
-bool ParseRequestValues(const std::string& csv, int64_t expected,
+// and names the first malformed token. Fields are split as
+// getline(stream, field, ',') splits them: an empty line has no fields
+// and a trailing ',' does not open one. Each field is accepted and
+// converted exactly as static_cast<float> of ParseDouble would; most go
+// through std::from_chars in place, the rest through ParseDouble.
+bool ParseRequestValues(std::string_view csv, int64_t expected,
                         std::vector<float>* values, std::string* error);
+
+// Formats one serve answer line into *out (replacing its contents): the
+// values as printf("%g") prints them, comma-separated, '\n'-terminated.
+void FormatAnswer(const float* values, int64_t count, std::string* out);
 
 // Loads the series selected by --csv / --dataset; fills split ratios.
 // Returns false (with a message on stderr) on bad input.

@@ -34,7 +34,7 @@ void InstallStatsRequestHandler() {
   action.sa_handler = HandleStatsSignal;
   sigemptyset(&action.sa_mask);
   // Persistent and restarting: a status poke must neither uninstall
-  // itself nor make the server's blocking stdin read fail with EINTR.
+  // itself nor fail the server's restartable calls with EINTR.
   action.sa_flags = SA_RESTART;
   sigaction(SIGHUP, &action, nullptr);
 }

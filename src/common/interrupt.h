@@ -31,7 +31,7 @@ void ClearInterrupt();
 // separate flag that the server polls and clears after dumping registry
 // stats to stderr. Unlike the interrupt handlers this one is persistent
 // (SA_RESTART, no SA_RESETHAND): operators poke a long-lived server
-// repeatedly, and the blocking stdin read must not be aborted by it.
+// repeatedly, and a poke must not fail its restartable calls with EINTR.
 void InstallStatsRequestHandler();
 
 // Returns true (and clears the flag) if a SIGHUP arrived since the last

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "common/parse.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
@@ -246,6 +254,132 @@ TEST(CliServeProtocolTest, ParseErrorOnWrongCountAlone) {
   EXPECT_NE(error.find("got 2"), std::string::npos);
   // All fields numeric: no offending token to name.
   EXPECT_EQ(error.find("field"), std::string::npos);
+}
+
+// The reference that ParseRequestValues must match field by field: the
+// verdict and float bits of static_cast<float>(ParseDouble(field)).
+bool ReferenceField(const std::string& field, float* out) {
+  double value = 0.0;
+  if (!ParseDouble(field, &value)) return false;
+  *out = static_cast<float>(value);
+  return true;
+}
+
+TEST(CliServeProtocolTest, ParseRequestValuesMatchesParseDoubleFieldByField) {
+  const char* tokens[] = {"1",      " 1",     "+1",     "-0",  "1.",
+                          ".5",     "1E-3",   "0x1p3",  "inf", "-Infinity",
+                          "nan",    "1e-310", "1e-400", "1e400",
+                          "3.4e39", "",       "1 ",     "1x",  "--1"};
+  for (const char* token : tokens) {
+    SCOPED_TRACE(std::string("token '") + token + "'");
+    float want = 0.0f;
+    const bool want_ok = ReferenceField(token, &want);
+    // Alone on the line, and between two fields (where the parser must
+    // stop at the ',').
+    const std::string lines[] = {token, std::string("7,") + token + ",8"};
+    const int64_t counts[] = {1, 3};
+    const size_t at[] = {0, 1};
+    for (int k = 0; k < 2; ++k) {
+      std::vector<float> values;
+      std::string error;
+      const bool ok =
+          ParseRequestValues(lines[k], counts[k], &values, &error);
+      ASSERT_EQ(ok, want_ok) << lines[k] << ": " << error;
+      if (!ok) continue;
+      ASSERT_EQ(values.size(), static_cast<size_t>(counts[k]));
+      EXPECT_EQ(std::memcmp(&values[at[k]], &want, sizeof(float)), 0)
+          << values[at[k]] << " vs " << want;
+    }
+  }
+}
+
+TEST(CliServeProtocolTest, ParseRequestValuesFieldCounts) {
+  std::vector<float> values;
+  std::string error;
+  // A trailing ',' does not open a field.
+  ASSERT_TRUE(ParseRequestValues("1,2,", 2, &values, &error)) << error;
+  EXPECT_EQ(values, (std::vector<float>{1.0f, 2.0f}));
+
+  ASSERT_FALSE(ParseRequestValues(",1", 1, &values, &error));
+  EXPECT_NE(error.find("got 2 (field 1: '' is not a number)"),
+            std::string::npos)
+      << error;
+  ASSERT_FALSE(ParseRequestValues("1,,2", 2, &values, &error));
+  EXPECT_NE(error.find("got 3 (field 2: '' is not a number)"),
+            std::string::npos)
+      << error;
+  ASSERT_FALSE(ParseRequestValues("", 1, &values, &error));
+  EXPECT_EQ(error, "error: request needs 1 comma-separated numbers, got 0");
+}
+
+TEST(CliServeProtocolTest, ParseRequestValuesFullRequestLine) {
+  // One 336x21 request as clients print it ("%.3f"), compared bit for bit
+  // against the field-by-field reference.
+  constexpr int64_t kFields = 336 * 21;
+  std::mt19937 rng(5);
+  std::normal_distribution<double> noise(0.0, 20.0);
+  std::string line;
+  std::vector<float> want;
+  char buf[64];
+  for (int64_t i = 0; i < kFields; ++i) {
+    std::snprintf(buf, sizeof(buf), "%.3f", noise(rng));
+    if (i > 0) line += ',';
+    line += buf;
+    float value = 0.0f;
+    ASSERT_TRUE(ReferenceField(buf, &value));
+    want.push_back(value);
+  }
+  std::vector<float> values;
+  std::string error;
+  ASSERT_TRUE(ParseRequestValues(line, kFields, &values, &error)) << error;
+  ASSERT_EQ(values.size(), want.size());
+  EXPECT_EQ(std::memcmp(values.data(), want.data(),
+                        want.size() * sizeof(float)),
+            0);
+}
+
+// FormatAnswer must print exactly what printf("%g") printed per value.
+std::string ReferenceAnswer(const std::vector<float>& values) {
+  std::string out;
+  char buf[64];
+  for (size_t j = 0; j < values.size(); ++j) {
+    std::snprintf(buf, sizeof(buf), j == 0 ? "%g" : ",%g", values[j]);
+    out += buf;
+  }
+  return out + "\n";
+}
+
+TEST(CliServeProtocolTest, FormatAnswerMatchesPrintfG) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> special = {
+      0.0f,    -0.0f,    denorm, -denorm,    1e-40f,     -3e-39f,
+      FLT_MIN, -FLT_MIN, FLT_MAX, -FLT_MAX,  1e-5f,      1e-4f,
+      123456.0f, 1234567.0f, 999999.5f, inf, -inf,       nan,
+      -nan};
+  std::string answer;
+  FormatAnswer(special.data(), static_cast<int64_t>(special.size()),
+               &answer);
+  EXPECT_EQ(answer, ReferenceAnswer(special));
+
+  // 100k random finite bit patterns, in answer-sized chunks.
+  std::mt19937 rng(11);
+  std::vector<float> chunk;
+  for (int batch = 0; batch < 50; ++batch) {
+    chunk.clear();
+    while (chunk.size() < 2000) {
+      const uint32_t bits = static_cast<uint32_t>(rng());
+      float value;
+      std::memcpy(&value, &bits, sizeof(value));
+      if (std::isfinite(value)) chunk.push_back(value);
+    }
+    FormatAnswer(chunk.data(), static_cast<int64_t>(chunk.size()), &answer);
+    ASSERT_EQ(answer, ReferenceAnswer(chunk)) << "batch " << batch;
+  }
+
+  FormatAnswer(nullptr, 0, &answer);
+  EXPECT_EQ(answer, "\n");
 }
 
 }  // namespace
