@@ -682,28 +682,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // Warm every model across every batch size: the session compiles one
-  // plan per batch size on first use, and letting that happen lazily on
-  // the measured path shows up as a compile storm in the first point's
-  // tail latencies (observed p50 60ms cold vs 2ms warm).
-  for (int64_t m = 0; m < num_models; ++m) {
-    serve::InferenceSession* session =
-        registry.Find(names[static_cast<size_t>(m)])->session();
-    for (int64_t k = 1; k <= max_batch; ++k) {
-      Tensor batch = Tensor::Empty({k, dims.input_len, dims.channels});
-      for (int64_t row = 0; row < k; ++row) {
-        std::memcpy(batch.data() + row * dims.input_len * dims.channels,
-                    windows[0].data(),
-                    static_cast<size_t>(dims.input_len * dims.channels) *
-                        sizeof(float));
-      }
-      if (!session->PredictBatch(batch).ok()) {
-        std::fprintf(stderr, "warmup predict failed\n");
-        return 1;
-      }
-    }
-  }
-
   // Calibrate this box: serial closed-loop capacity of one model (the
   // utilization points are fractions of it) and full-batch closed-loop
   // capacity (the overload points must exceed what BATCHING can serve,

@@ -301,9 +301,6 @@ int Run(int argc, char** argv) {
     auto session = OpenSession(bundle_path, /*use_plan=*/true);
     if (session == nullptr) return 1;
     for (int i = 0; i < 4; ++i) (void)session->Predict(requests[0]);
-    // Compile the full-batch plan before the clock starts; a closed loop
-    // of `clients` >= max_batch keeps the batcher at max_batch.
-    (void)session->PlanForBatch(max_batch);
     serve::BatcherOptions batcher_options;
     batcher_options.max_batch_size = max_batch;
     batcher_options.max_delay = std::chrono::microseconds(1000);

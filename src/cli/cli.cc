@@ -65,8 +65,7 @@
 //                     serving and logs the error
 //   --no-plan         disable the AOT inference-plan path and serve from
 //                     the module forward (serve/plan.h); results are
-//                     bitwise identical either way. LIPF_NO_PLAN=1 in the
-//                     environment does the same.
+//                     bitwise identical either way.
 //   --deadline-ms=N   per-request deadline (default 0 = none): a request
 //                     that cannot be answered in time completes with
 //                     "error: DeadlineExceeded" instead of occupying the
@@ -1015,7 +1014,7 @@ int CmdServe(const CliArgs& args) {
 
   // Opening every bundle parks trace and validation temporaries in the
   // storage pool that the plan path never reuses; hand them back to the
-  // OS so the first batches' plan arenas do not stack on top of them.
+  // OS so the served arena slabs do not stack on top of them.
   ClearStoragePool();
 #ifdef __GLIBC__
   malloc_trim(0);

@@ -1,20 +1,24 @@
 #include "common/interrupt.h"
 
+#include <atomic>
 #include <csignal>
 
 namespace lipformer {
 
 namespace {
 
-// Written from signal context: must be a lock-free sig_atomic-compatible
-// type with no constructor side effects.
-volatile std::sig_atomic_t g_interrupted = 0;
+// Written from signal context and from other threads (the serve writer
+// requests an interrupt on EPIPE): lock-free atomics are both
+// async-signal-safe and race-free, where a volatile sig_atomic_t is only
+// the former.
+static_assert(std::atomic<int>::is_always_lock_free);
+std::atomic<int> g_interrupted{0};
 
-void HandleSignal(int /*signum*/) { g_interrupted = 1; }
+void HandleSignal(int /*signum*/) { g_interrupted.store(1); }
 
-volatile std::sig_atomic_t g_stats_requested = 0;
+std::atomic<int> g_stats_requested{0};
 
-void HandleStatsSignal(int /*signum*/) { g_stats_requested = 1; }
+void HandleStatsSignal(int /*signum*/) { g_stats_requested.store(1); }
 
 }  // namespace
 
@@ -46,18 +50,14 @@ void IgnoreSigPipe() {
   sigaction(SIGPIPE, &action, nullptr);
 }
 
-bool ConsumeStatsRequest() {
-  if (g_stats_requested == 0) return false;
-  g_stats_requested = 0;
-  return true;
-}
+bool ConsumeStatsRequest() { return g_stats_requested.exchange(0) != 0; }
 
-void RequestStats() { g_stats_requested = 1; }
+void RequestStats() { g_stats_requested.store(1); }
 
-bool InterruptRequested() { return g_interrupted != 0; }
+bool InterruptRequested() { return g_interrupted.load() != 0; }
 
-void RequestInterrupt() { g_interrupted = 1; }
+void RequestInterrupt() { g_interrupted.store(1); }
 
-void ClearInterrupt() { g_interrupted = 0; }
+void ClearInterrupt() { g_interrupted.store(0); }
 
 }  // namespace lipformer

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "serve/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/ops_raw.h"
@@ -218,6 +219,7 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     const ForwardFn& forward, const Tensor& sample_input,
     const Tensor& check_input) {
   LIPF_CHECK(SameShape(sample_input.shape(), check_input.shape()));
+  LIPF_CHECK(sample_input.dim() >= 1 && sample_input.size(0) == 1);
 
   auto plan = std::shared_ptr<InferencePlan>(new InferencePlan());
   plan->input_shape_ = sample_input.shape();
@@ -235,6 +237,7 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
                             "' has data-dependent behavior the trace cannot "
                             "capture");
   }
+  LIPF_CHECK(traced_out.dim() >= 1 && traced_out.size(0) == 1);
   plan->output_shape_ = traced_out.shape();
 
   // ---- Permute -> GEMM operand fusion decisions ----
@@ -451,8 +454,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
   plan->stats_.num_traced =
       static_cast<int64_t>(recorder.records().size());
   plan->stats_.num_ops = static_cast<int64_t>(plan->ops_.size());
-  plan->stats_.batch_size =
-      sample_input.dim() > 0 ? sample_input.size(0) : 1;
 
   // ---- Output location ----
   int64_t output_vid = -1;
@@ -897,30 +898,45 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
 }
 
 Tensor InferencePlan::Execute(const Tensor& input) const {
-  LIPF_CHECK(SameShape(input.shape(), input_shape_))
-      << "plan compiled for " << ShapeToString(input_shape_) << ", got "
-      << ShapeToString(input.shape());
+  const Shape& shape = input.shape();
+  LIPF_CHECK(shape.size() == input_shape_.size() && shape[0] >= 1 &&
+             std::equal(shape.begin() + 1, shape.end(),
+                        input_shape_.begin() + 1))
+      << "plan compiled for rows of " << ShapeToString(input_shape_)
+      << ", got " << ShapeToString(shape);
   executions_.fetch_add(1, std::memory_order_relaxed);
 
-  // One pooled slab per request is the only allocation on this path.
-  Storage slab = Storage::Acquire(arena_floats_);
-  float* base = slab.data();
-  if (input_off_ >= 0) {
-    std::memcpy(base + input_off_, input.data(),
-                static_cast<size_t>(input.numel()) * sizeof(float));
-  }
+  const int64_t rows = shape[0];
+  Shape out_shape = output_shape_;
+  out_shape[0] = rows;
+  Tensor out = Tensor::Empty(out_shape);
+  const int64_t in_row = input.numel() / rows;
+  const int64_t out_row = out.numel() / rows;
+  const float* in = input.data();
+  float* dst = out.data();
+  PlanProfile* profile =
+      profiling_.load(std::memory_order_relaxed) ? &profile_ : nullptr;
 
-  ExecutePlanProgram(
-      ops_, base,
-      profiling_.load(std::memory_order_relaxed) ? &profile_ : nullptr);
-
-  Tensor out = Tensor::Empty(output_shape_);
-  const float* src = output_const_ != nullptr
-                         ? output_const_
-                         : base + (output_is_input_ ? input_off_
-                                                    : output_off_);
-  std::memcpy(out.data(), src,
-              static_cast<size_t>(out.numel()) * sizeof(float));
+  // One pooled slab per chunk of rows is the only allocation here. Kernels
+  // inside a chunk run serially (nested regions do); a single row runs
+  // inline (n <= grain) with its kernels free to use the pool.
+  ParallelFor(rows, 1, [&](int64_t begin, int64_t end) {
+    Storage slab = Storage::Acquire(arena_floats_);
+    float* base = slab.data();
+    const float* src = output_const_ != nullptr
+                           ? output_const_
+                           : base + (output_is_input_ ? input_off_
+                                                      : output_off_);
+    for (int64_t r = begin; r < end; ++r) {
+      if (input_off_ >= 0) {
+        std::memcpy(base + input_off_, in + r * in_row,
+                    static_cast<size_t>(in_row) * sizeof(float));
+      }
+      ExecutePlanProgram(ops_, base, profile);
+      std::memcpy(dst + r * out_row, src,
+                  static_cast<size_t>(out_row) * sizeof(float));
+    }
+  });
   return out;
 }
 

@@ -13,9 +13,9 @@
 #include "tensor/tensor.h"
 
 // Ahead-of-time inference plans. Serving shapes are static per bundle, so
-// InferenceSession traces the model's forward ONCE per batch size and
+// InferenceSession traces the model's batch-1 forward ONCE, at Open, and
 // compiles the trace into a flat op program plus a preplanned activation
-// arena:
+// arena. A batch runs the same program once per row (see Execute):
 //
 //   * Trace. A trace::Recorder (tensor/op_trace.h) captures every forward
 //     kernel invocation with its resolved dims and operand pointers.
@@ -42,7 +42,7 @@
 //   * Arena. Each activation gets a [def, last_use] interval; a first-fit
 //     allocator with hole coalescing lays all of them out in one slab
 //     (offsets 64-byte aligned). Execution leases one pooled slab per
-//     request — every intermediate of the forward costs zero pool
+//     chunk of rows — every intermediate of the forward costs zero pool
 //     lookups.
 //   * Prepack. Constant B operands of fp32 GEMMs are packed into panel
 //     layout once at compile time (PackGemmB); the hot path runs the
@@ -58,18 +58,20 @@
 //
 // Plans are immutable after Compile and shareable across threads: the
 // only per-request state is the leased arena.
+// One batch-1 program serves every batch size: the models are channel-
+// independent, so extra batch rows amortize nothing, and each row of a
+// batch IS the validated batch-1 forward (DESIGN.md §11 "Execution").
 
 namespace lipformer {
 namespace serve {
 
 // Compile-time facts about one plan, for stats output and tests.
 struct PlanStats {
-  int64_t batch_size = 0;
   int64_t num_ops = 0;          // executable records
   int64_t num_traced = 0;       // records captured by the trace
   int64_t num_elided = 0;       // identity copies removed
   int64_t fused_gemm_operands = 0;  // permutes folded into GEMM packing
-  int64_t arena_floats = 0;     // per-request slab size
+  int64_t arena_floats = 0;     // per-slab size (one row in flight)
   int64_t arena_bytes = 0;
   int64_t num_constants = 0;    // captured constant tensors
   int64_t constant_bytes = 0;   // bytes the plan keeps alive (excl. weights)
@@ -97,25 +99,29 @@ class InferencePlan {
   // twice for validation).
   using ForwardFn = std::function<Tensor(const Tensor&)>;
 
-  // Traces `forward` at sample_input's shape and compiles it.
-  // check_input must have the same shape but different values; it drives
-  // the second bitwise validation run. Fails (Status::Internal) when the
-  // trace was poisoned by an uncompilable op, an operand cannot be
-  // classified, or either validation run is not bitwise identical to the
-  // module path.
+  // Traces `forward` at sample_input's shape, one row [1, ...], and
+  // compiles it. check_input must have the same shape but different
+  // values; it drives the second bitwise validation run. Fails
+  // (Status::Internal) when the trace was poisoned by an uncompilable op,
+  // an operand cannot be classified, or either validation run is not
+  // bitwise identical to the module path.
   static Result<std::shared_ptr<const InferencePlan>> Compile(
       const ForwardFn& forward, const Tensor& sample_input,
       const Tensor& check_input);
 
-  // Runs the program against a pooled arena slab. `input` must match the
+  // [b, ...] -> [b, ...] for any b >= 1 whose later dims match the
   // compile-time input shape (LIPF_CHECK — the session validated the
-  // request already). Thread-safe; bitwise identical to the module
-  // forward on the same input.
+  // request already). Runs the program once per row, rows spread by
+  // ParallelFor(b, 1, ...) with one pooled arena slab per chunk; b == 1
+  // runs inline. Thread-safe; row i is bitwise identical to the module
+  // forward on input row i.
   Tensor Execute(const Tensor& input) const;
 
   const PlanStats& stats() const { return stats_; }
+  // Shapes of one row, [1, ...].
   const Shape& input_shape() const { return input_shape_; }
   const Shape& output_shape() const { return output_shape_; }
+  // Execute calls (a batch counts once).
   int64_t executions() const {
     return executions_.load(std::memory_order_relaxed);
   }

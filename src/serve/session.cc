@@ -310,15 +310,26 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
     session->scaler_.Restore(mean->data.Clone(), std_t->data.Clone());
   }
 
-  // LIPF_NO_PLAN is the operational kill switch mirroring the CLI's
-  // --no-plan; a set (any value) variable wins over SessionOptions.
-  session->use_plan_ =
-      session_options.use_plan && std::getenv("LIPF_NO_PLAN") == nullptr;
+  session->use_plan_ = session_options.use_plan;
   if (session->use_plan_) {
-    // Precompile the dominant serving shape so the first request does not
-    // pay the (few-forwards) compile cost. Larger batch sizes compile
-    // lazily on first sight. A failure here just records the fallback.
-    session->PlanForBatch(1);
+    // The session's one plan, traced at batch 1. Trace and validation
+    // inputs only need distinct values — any fixed-seed noise exercises
+    // the graph. A failure records the reason and leaves the session on
+    // the module path.
+    Rng rng(0x9e3779b97f4a7c14ull);
+    const Shape in_shape{1, session->input_len(), session->channels()};
+    Tensor sample = Tensor::Randn(in_shape, rng);
+    Tensor check = Tensor::Randn(in_shape, rng);
+    InferenceSession* raw = session.get();
+    Result<std::shared_ptr<const InferencePlan>> compiled =
+        InferencePlan::Compile(
+            [raw](const Tensor& x) { return raw->ModuleForwardRaw(x); },
+            sample, check);
+    if (compiled.ok()) {
+      session->plan_ = compiled.value();
+    } else {
+      session->plan_error_ = compiled.status().message();
+    }
   }
   {
     // Timed validation probe: one single-window forward on the path
@@ -370,66 +381,26 @@ Tensor InferenceSession::ModuleForwardRaw(const Tensor& histories) {
 }
 
 std::shared_ptr<const InferencePlan> InferenceSession::PlanForBatch(
-    int64_t b) {
-  if (!use_plan_) return nullptr;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto it = plans_.find(b);
-  if (it != plans_.end()) return it->second;
-
-  // Compile under plan_mu_ (rare, a handful of forwards); concurrent
-  // requests for other batch sizes briefly queue here, never on the hot
-  // path. Trace and validation inputs only need distinct values — any
-  // fixed-seed noise exercises the graph.
-  Rng rng(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(b));
-  const Shape in_shape{b, input_len(), channels()};
-  Tensor sample = Tensor::Randn(in_shape, rng);
-  Tensor check = Tensor::Randn(in_shape, rng);
-  Result<std::shared_ptr<const InferencePlan>> compiled =
-      InferencePlan::Compile(
-          [this](const Tensor& x) { return ModuleForwardRaw(x); },
-          sample, check);
-  std::shared_ptr<const InferencePlan> plan;
-  if (compiled.ok()) {
-    plan = compiled.value();
-    plan->set_profiling(plan_profiling_);
-  } else if (plan_error_.empty()) {
-    plan_error_ = compiled.status().message();
-  }
-  plans_.emplace(b, plan);  // null entry caches the failure
-  return plan;
+    int64_t /*b*/) const {
+  return plan_;
 }
 
 SessionPlanStats InferenceSession::plan_stats() const {
   SessionPlanStats s;
   s.enabled = use_plan_;
+  s.compile_error = plan_error_;
   s.plan_requests = plan_requests_.load(std::memory_order_relaxed);
   s.module_requests = module_requests_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  s.compile_error = plan_error_;
-  std::map<std::string, size_t> by_name;
-  for (const auto& [b, plan] : plans_) {
-    if (plan == nullptr) continue;
-    if (s.plans_compiled == 0 || b == 1) s.plan = plan->stats();
-    s.plans_compiled += 1;
-    for (const PlanOpTiming& t : plan->OpTimings()) {
-      auto [it, fresh] = by_name.emplace(t.name, s.timings.size());
-      if (fresh) {
-        s.timings.push_back(t);
-      } else {
-        s.timings[it->second].calls += t.calls;
-        s.timings[it->second].total_ns += t.total_ns;
-      }
-    }
+  if (plan_ != nullptr) {
+    s.plans_compiled = 1;
+    s.plan = plan_->stats();
+    s.timings = plan_->OpTimings();
   }
   return s;
 }
 
 void InferenceSession::SetPlanProfiling(bool enabled) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plan_profiling_ = enabled;
-  for (const auto& [b, plan] : plans_) {
-    if (plan != nullptr) plan->set_profiling(enabled);
-  }
+  if (plan_ != nullptr) plan_->set_profiling(enabled);
 }
 
 Result<Tensor> InferenceSession::Predict(const Tensor& history) {
@@ -465,13 +436,13 @@ Result<Tensor> InferenceSession::PredictBatch(const Tensor& histories) {
   }
 
   // Plan path when available: the compiled program is immutable, so this
-  // runs without the module mutex, bitwise identical to the module
-  // request path — scaler arithmetic included — as validated at compile
-  // time. Null plan (disabled or uncompilable model) falls back to the
-  // module.
+  // runs without the module mutex, once per row, each row bitwise
+  // identical to the module request path — scaler arithmetic included —
+  // as validated at compile time. Null plan (disabled or uncompilable
+  // model) falls back to the module.
   Tensor pred;
-  if (std::shared_ptr<const InferencePlan> plan = PlanForBatch(b)) {
-    pred = plan->Execute(histories);
+  if (plan_ != nullptr) {
+    pred = plan_->Execute(histories);
     plan_requests_.fetch_add(1, std::memory_order_relaxed);
   } else {
     pred = ModuleForwardRaw(histories);

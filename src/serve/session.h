@@ -2,7 +2,6 @@
 #define LIPFORMER_SERVE_SESSION_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,25 +49,23 @@ Status ParseBundleConfig(const Checkpoint& ckpt, const std::string& path,
                          std::string* model_name, ForecasterDims* dims,
                          ModelOptions* options);
 
-// Session knobs. `use_plan` controls the AOT plan path (serve/plan.h);
-// the LIPF_NO_PLAN environment variable (any value) force-disables it
-// regardless, and a model whose forward cannot be compiled (data-
-// dependent ops) falls back to the module path automatically.
+// Session knobs. `use_plan` controls the AOT plan path (serve/plan.h); a
+// model whose forward cannot be compiled (data-dependent ops) falls back
+// to the module path automatically.
 struct SessionOptions {
   bool use_plan = true;
 };
 
 // Plan-path observability for `lipformer_cli serve` stats and
-// bench_serving (aggregated over the session's per-batch-size plan
-// cache).
+// bench_serving, read from the session's one plan.
 struct SessionPlanStats {
   bool enabled = false;          // plan path on for this session
-  int64_t plans_compiled = 0;    // distinct batch sizes compiled
-  std::string compile_error;     // first failure reason, if any
-  int64_t plan_requests = 0;     // PredictBatch calls served by a plan
+  int64_t plans_compiled = 0;    // 1 when Open compiled the plan, else 0
+  std::string compile_error;     // failure reason, if compilation failed
+  int64_t plan_requests = 0;     // PredictBatch calls served by the plan
   int64_t module_requests = 0;   // PredictBatch calls on the module path
-  PlanStats plan;                // batch-size-1 plan (or first compiled)
-  std::vector<PlanOpTiming> timings;  // summed across plans; profiling only
+  PlanStats plan;                // the plan's compile-time facts
+  std::vector<PlanOpTiming> timings;  // per op kind; profiling only
 };
 
 // A loaded model + scaler ready for inference. Forwards run in eval mode
@@ -77,11 +74,12 @@ struct SessionPlanStats {
 // caches, so Forward is not reentrant), while the plan path executes an
 // immutable compiled program against per-request arenas and runs fully
 // concurrently; the dynamic batcher (serve/batcher.h) coalesces
-// concurrent requests into one batched forward either way.
+// concurrent requests into one PredictBatch call either way.
 class InferenceSession {
  public:
   // Reads a bundle written by SaveModelBundle and reconstructs the model.
-  // The default options precompile the batch-size-1 plan at Open.
+  // The default options compile the session's one plan (batch 1) here;
+  // nothing is compiled after Open.
   static Result<std::unique_ptr<InferenceSession>> Open(
       const std::string& path);
   static Result<std::unique_ptr<InferenceSession>> Open(
@@ -111,15 +109,16 @@ class InferenceSession {
   // skipped.
   double probe_latency_seconds() const { return probe_latency_seconds_; }
 
-  // True when the AOT plan path is on for this session (options + env).
+  // True when the AOT plan path is on (SessionOptions::use_plan).
   bool plan_enabled() const { return use_plan_; }
-  // The compiled plan for batch size b, compiling (and caching) it on
-  // first use. Null when the plan path is disabled or compilation failed
-  // for this model (the failure is cached too — no recompile storm).
-  std::shared_ptr<const InferencePlan> PlanForBatch(int64_t b);
-  // Aggregated plan counters; `timings` is populated while profiling.
+  // The session's one plan, compiled at Open, for every batch size
+  // b >= 1: InferencePlan::Execute runs it once per row of a [b, ...]
+  // input, so `b` does not select anything. Null when the plan path is
+  // disabled or compilation failed for this model.
+  std::shared_ptr<const InferencePlan> PlanForBatch(int64_t b) const;
+  // Plan counters; `timings` is populated while profiling.
   SessionPlanStats plan_stats() const;
-  // Toggles per-op timing on every cached and future plan.
+  // Toggles per-op timing on the plan.
   void SetPlanProfiling(bool enabled);
 
  private:
@@ -143,13 +142,10 @@ class InferenceSession {
   double probe_latency_seconds_ = 0;
   std::mutex mu_;  // serializes module-path Forward on the shared model
 
-  // Per-batch-size plan cache. A null entry records a failed compile so
-  // the fallback is decided once. plan_mu_ never nests inside mu_
-  // (compilation takes plan_mu_ then mu_ via ModuleForwardScaled).
-  mutable std::mutex plan_mu_;
-  std::map<int64_t, std::shared_ptr<const InferencePlan>> plans_;
+  // Set once in Open and immutable afterwards, so reads need no lock.
+  // Null when the plan path is off or compilation failed (plan_error_).
+  std::shared_ptr<const InferencePlan> plan_;
   std::string plan_error_;
-  bool plan_profiling_ = false;
   std::atomic<int64_t> plan_requests_{0};
   std::atomic<int64_t> module_requests_{0};
 };

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "serve/arena.h"
 #include "serve/batcher.h"
 #include "serve/quantize.h"
@@ -42,6 +43,15 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Runs fn with the global kernel thread count pinned to `threads` and
+// restores the default afterwards.
+template <typename Fn>
+void WithThreads(int threads, Fn fn) {
+  SetNumThreads(threads);
+  fn();
+  SetNumThreads(DefaultNumThreads());
 }
 
 serve::SessionOptions NoPlan() {
@@ -90,9 +100,19 @@ class PlanTest : public ::testing::Test {
 
   // Predictions from a plan-enabled session must be bitwise identical to
   // a module-only session opened from the same bundle, at every batch
-  // size, and must actually have been served by a plan.
+  // size, at 1 kernel thread and at 4 (which spreads the rows of a batch
+  // over the pool), and must all be served by the one plan Open compiled.
   void ExpectPlanMatchesModule(const std::string& bundle,
                                const std::vector<int64_t>& batch_sizes) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      WithThreads(threads, [&] { ExpectPlanMatchesModuleNow(bundle,
+                                                            batch_sizes); });
+    }
+  }
+
+  void ExpectPlanMatchesModuleNow(const std::string& bundle,
+                                  const std::vector<int64_t>& batch_sizes) {
     auto planned = serve::InferenceSession::Open(bundle);
     auto module = serve::InferenceSession::Open(bundle, NoPlan());
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
@@ -114,17 +134,19 @@ class PlanTest : public ::testing::Test {
       EXPECT_TRUE(BitwiseEqual(got.value(), want.value()))
           << "batch size " << b;
       ++requests;
+      // No batch size compiles anything: Open's plan serves them all.
+      EXPECT_EQ(planned.value()->plan_stats().plans_compiled, 1)
+          << "batch size " << b;
+      EXPECT_NE(planned.value()->PlanForBatch(b), nullptr);
+      EXPECT_EQ(planned.value()->PlanForBatch(b),
+                planned.value()->PlanForBatch(1))
+          << "batch size " << b;
     }
 
     const serve::SessionPlanStats stats = planned.value()->plan_stats();
     EXPECT_EQ(stats.compile_error, "");
     EXPECT_EQ(stats.plan_requests, requests);
     EXPECT_EQ(stats.module_requests, 0);
-    EXPECT_EQ(stats.plans_compiled,
-              static_cast<int64_t>(batch_sizes.size()) +
-                  (std::count(batch_sizes.begin(), batch_sizes.end(), 1)
-                       ? 0
-                       : 1));  // batch-1 plan precompiled at Open
   }
 
   ForecasterDims dims_;
@@ -144,7 +166,6 @@ TEST_F(PlanTest, CompilesForLipformerBundleAtOpen) {
   // silent fallback every other test could miss, so pin it here.
   EXPECT_EQ(stats.compile_error, "") << stats.compile_error;
   EXPECT_EQ(stats.plans_compiled, 1);
-  EXPECT_EQ(stats.plan.batch_size, 1);
   EXPECT_GT(stats.plan.num_ops, 0);
   EXPECT_GE(stats.plan.num_traced, stats.plan.num_ops);
   EXPECT_GT(stats.plan.num_elided, 0);  // head split/merge, full slices
@@ -284,11 +305,12 @@ TEST_F(PlanTest, BatcherServesConcurrentRequestsFromOnePlan) {
     EXPECT_EQ(mismatches[cl], 0) << "client " << cl;
   }
 
-  // Coalesced batches hit plans for their exact sizes; nothing fell
-  // back to the module path.
+  // Coalesced batches of any size run Open's one plan row by row;
+  // nothing compiled later and nothing fell back to the module path.
   const serve::SessionPlanStats stats = planned.value()->plan_stats();
   EXPECT_GT(stats.plan_requests, 0);
   EXPECT_EQ(stats.module_requests, 0);
+  EXPECT_EQ(stats.plans_compiled, 1);
 }
 
 TEST_F(PlanTest, UncompilableModelFallsBackToModulePath) {

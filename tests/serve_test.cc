@@ -680,13 +680,27 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok());
 
-  // max_batch unreachable and max_delay long: the worker coalesces
-  // indefinitely, so the queue fills deterministically.
+  // A 2-slot queue browns out at depth 2, so the worker fires as soon as
+  // two requests are queued. To fill the queue deterministically, keep
+  // the worker busy: its first batched forward (two blockers) stalls for
+  // an injected 500 ms, and the queue is filled while it sleeps.
   serve::BatcherOptions opts;
   opts.max_batch_size = 64;
   opts.max_delay = std::chrono::seconds(30);
   opts.queue_capacity = 2;
   serve::Batcher batcher(opened.value().get(), opts);
+  fault::Arm("slow_infer_ms=500,slow_infer_at=1,slow_infer_count=1");
+
+  auto b1 = batcher.Submit(RandomTensor({24, 2}, 198));
+  auto b2 = batcher.Submit(RandomTensor({24, 2}, 199));
+  // The worker has popped both blockers once the queue reads empty.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (batcher.Stats().queue_depth != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(batcher.Stats().queue_depth, 0);
 
   auto f1 = batcher.Submit(RandomTensor({24, 2}, 200));
   auto f2 = batcher.Submit(RandomTensor({24, 2}, 201));
@@ -698,14 +712,18 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   auto r3 = f3.get();
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(batcher.Stats().queue_depth, 2);
 
-  // Shutdown executes the two accepted requests instead of dropping them.
+  // Shutdown executes the accepted requests instead of dropping them.
   batcher.Shutdown();
+  fault::Disarm();
   auto r1 = f1.get();
   auto r2 = f2.get();
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r1.value().shape(), (Shape{6, 2}));
+  EXPECT_TRUE(b1.get().ok());
+  EXPECT_TRUE(b2.get().ok());
 
   // After shutdown new submissions are rejected.
   auto f4 = batcher.Submit(RandomTensor({24, 2}, 203));
@@ -714,8 +732,8 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   EXPECT_EQ(r4.status().code(), StatusCode::kUnavailable);
 
   const serve::BatcherStats stats = batcher.Stats();
-  EXPECT_EQ(stats.submitted, 2);
-  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.submitted, 4);  // two blockers + f1, f2
+  EXPECT_EQ(stats.completed, 4);
   EXPECT_EQ(stats.rejected_full, 1);
 }
 
