@@ -30,13 +30,15 @@
 // non-finite answers delivered.
 //
 // --chaos=1 switches to the chaos gate driven by scripts/check_chaos.sh:
-// a no-fault overload baseline, then the same overload with slow-infer
-// and poison-output faults injected mid-run (common/fault_injection.h).
-// Asserted: the circuit breaker trips and recovers via half-open probes,
-// zero requests executed past their deadline, zero non-finite answers
-// delivered (poisoned forecasts surface as typed Internal errors), zero
-// torn answers, and goodput >= --chaos-goodput-floor-pct% of the
-// no-fault baseline.
+// three pairs of a no-fault overload phase and the same overload with
+// slow-infer and poison-output faults injected mid-run
+// (common/fault_injection.h), alternating which phase of a pair runs
+// first. Asserted in every faulted phase: the circuit breaker trips and
+// recovers via half-open probes, zero requests executed past their
+// deadline, zero non-finite answers delivered (poisoned forecasts
+// surface as typed Internal errors) and zero torn answers; and the
+// median per-pair goodput ratio (faulted / no-fault) is >=
+// --chaos-goodput-floor-pct%.
 //
 //   bench_loadgen [--models=N] [--duration-ms=N] [--threads=N]
 //                 [--max-batch=N] [--json=FILE] [--hot-reload=0|1]
@@ -747,126 +749,176 @@ int Run(int argc, char** argv) {
     const double dur = chaos_duration_ms / 1000.0;
     const double target = 1.5 * capacity_rps;
     const std::vector<std::string> one = {names[0]};
+    const auto request_deadline =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::duration<double>(overload_client.deadline_s));
 
-    // Phase A — no-fault overload baseline at 1.5x capacity.
-    PointResult nofault =
-        RunPoint(&registry, one, windows, expected, nullptr, target, dur,
-                 /*seed=*/777, overload_client, nullptr);
-    nofault.util = 1.5;
-    PrintPoint("chaos-nofault", nofault);
-    const serve::ModelInfo info_a = InfoFor(registry, names[0]);
+    // Host load on a shared box comes and goes over seconds, so one
+    // no-fault baseline measured before one faulted phase can compare two
+    // different machines. Run kChaosPairs back-to-back pairs instead, each
+    // on one arrival trace, alternating which phase runs first, and gate
+    // the median per-pair goodput ratio.
+    constexpr int kChaosPairs = 3;
+    struct ChaosPair {
+      PointResult nofault;
+      PointResult faulted;
+      int64_t trips = 0;   // breaker trips during the faulted phase
+      int64_t probes = 0;  // half-open probes during it and its recovery
+      bool recovered = false;
+      double ratio = 0;    // faulted / no-fault goodput
+    };
+    std::vector<ChaosPair> pairs(kChaosPairs);
+    for (int p = 0; p < kChaosPairs; ++p) {
+      ChaosPair& pair = pairs[static_cast<size_t>(p)];
+      const uint64_t seed = 777 + static_cast<uint64_t>(p);
+      // No-fault overload baseline at 1.5x capacity.
+      const auto run_nofault = [&] {
+        pair.nofault = RunPoint(&registry, one, windows, expected, nullptr,
+                                target, dur, seed, overload_client, nullptr);
+        pair.nofault.util = 1.5;
+        PrintPoint("chaos-nofault", pair.nofault);
+      };
+      // The same load with a fault timeline injected mid-run: slow-infer
+      // stragglers early, then a poisoned-output window (which must trip
+      // the breaker), then a clean tail for half-open recovery. Windows
+      // are wall-clock relative so the schedule adapts to however many
+      // batches this box manages (sanitizer builds run 10-20x slower).
+      const auto run_faulted = [&] {
+        const serve::ModelInfo before = InfoFor(registry, names[0]);
+        std::thread fault_timeline([&] {
+          fault::Arm("slow_infer_ms=" + std::to_string(chaos_slow_ms) +
+                     ",slow_infer_at=1,slow_infer_count=4");
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(0.30 * dur));
+          // Re-arming resets the serving call counters, so poison hits
+          // the next 6 batched forwards from this instant;
+          // slow_infer_ms=0 clears the straggler fault.
+          fault::Arm(
+              "slow_infer_ms=0,poison_output_at=1,poison_output_count=6");
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(0.30 * dur));
+          fault::Disarm();
+        });
+        pair.faulted = RunPoint(&registry, one, windows, expected, nullptr,
+                                target, dur, seed, overload_client, nullptr);
+        pair.faulted.util = 1.5;
+        fault_timeline.join();
+        fault::Disarm();
+        PrintPoint("chaos-faulted", pair.faulted);
 
-    // Phase B — same load with a fault timeline injected mid-run:
-    // slow-infer stragglers early, then a poisoned-output window (which
-    // must trip the breaker), then a clean tail for half-open recovery.
-    // Windows are wall-clock relative so the schedule adapts to however
-    // many batches this box manages (sanitizer builds run 10-20x slower).
-    std::thread fault_timeline([&] {
-      fault::Arm("slow_infer_ms=" + std::to_string(chaos_slow_ms) +
-                 ",slow_infer_at=1,slow_infer_count=4");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(0.30 * dur));
-      // Re-arming resets the serving call counters, so poison hits the
-      // next 6 batched forwards from this instant; slow_infer_ms=0
-      // clears the straggler fault.
-      fault::Arm("slow_infer_ms=0,poison_output_at=1,poison_output_count=6");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(0.30 * dur));
-      fault::Disarm();
-    });
-    PointResult chaos =
-        RunPoint(&registry, one, windows, expected, nullptr, target, dur,
-                 /*seed=*/778, overload_client, nullptr);
-    chaos.util = 1.5;
-    fault_timeline.join();
-    fault::Disarm();
-    PrintPoint("chaos-faulted", chaos);
-
-    // Recovery: the breaker must come back (half-open probes) once the
-    // faults clear; bounded wait.
-    bool recovered = false;
-    const Clock::time_point recovery_start = Clock::now();
-    while (std::chrono::duration<double>(Clock::now() - recovery_start)
-               .count() < 5.0) {
-      auto answer =
-          registry
-              .Submit(names[0], windows[0],
-                      std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::duration<double>(
-                              overload_client.deadline_s)))
-              .get();
-      if (answer.ok()) {
-        recovered = true;
-        break;
+        // Recovery: the breaker must close again (half-open probes) once
+        // the faults clear, before the next phase starts; bounded wait.
+        const Clock::time_point recovery_start = Clock::now();
+        while (std::chrono::duration<double>(Clock::now() - recovery_start)
+                   .count() < 5.0) {
+          const bool answered =
+              registry.Submit(names[0], windows[0], request_deadline)
+                  .get()
+                  .ok();
+          if (answered && InfoFor(registry, names[0]).batcher.breaker.state ==
+                              serve::BreakerState::kClosed) {
+            pair.recovered = true;
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        const serve::ModelInfo after = InfoFor(registry, names[0]);
+        pair.trips = after.batcher.breaker.trips - before.batcher.breaker.trips;
+        pair.probes =
+            after.batcher.breaker.probes - before.batcher.breaker.probes;
+      };
+      if (p % 2 == 0) {
+        run_nofault();
+        run_faulted();
+      } else {
+        run_faulted();
+        run_nofault();
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    const serve::ModelInfo info_b = InfoFor(registry, names[0]);
-    const int64_t trips =
-        info_b.batcher.breaker.trips - info_a.batcher.breaker.trips;
+      pair.ratio = pair.nofault.goodput_rps > 0
+                       ? pair.faulted.goodput_rps / pair.nofault.goodput_rps
+                       : 0.0;
+      std::fprintf(stderr,
+                   "chaos pair %d: breaker trips=%lld probes=%lld "
+                   "recovered=%d goodput=%.1f/%.1f rps (%.1f%%)\n",
+                   p, static_cast<long long>(pair.trips),
+                   static_cast<long long>(pair.probes),
+                   pair.recovered ? 1 : 0, pair.faulted.goodput_rps,
+                   pair.nofault.goodput_rps, 100.0 * pair.ratio);
 
+      if (pair.nofault.completed == 0 || pair.faulted.completed == 0) {
+        std::fprintf(stderr, "FAIL: a chaos phase completed zero requests\n");
+        violations = true;
+      }
+      if (pair.nofault.mismatched != 0 || pair.faulted.mismatched != 0) {
+        std::fprintf(stderr, "FAIL: torn answers under overload/chaos\n");
+        violations = true;
+      }
+      if (pair.nofault.nonfinite != 0 || pair.faulted.nonfinite != 0) {
+        std::fprintf(stderr, "FAIL: non-finite answers were delivered\n");
+        violations = true;
+      }
+      if (pair.faulted.internal < 1) {
+        std::fprintf(stderr,
+                     "FAIL: poisoned outputs did not surface as typed "
+                     "Internal errors\n");
+        violations = true;
+      }
+      if (pair.trips < 1) {
+        std::fprintf(stderr, "FAIL: the circuit breaker never tripped\n");
+        violations = true;
+      }
+      if (pair.probes < 1) {
+        std::fprintf(stderr, "FAIL: no half-open probe was admitted\n");
+        violations = true;
+      }
+      if (!pair.recovered) {
+        std::fprintf(stderr, "FAIL: breaker did not recover to closed\n");
+        violations = true;
+      }
+    }
+
+    // Cumulative counters: zero after every phase means zero in each.
+    const serve::ModelInfo info = InfoFor(registry, names[0]);
+    if (info.batcher.executed_past_deadline != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %lld request(s) executed past their deadline\n",
+                   static_cast<long long>(
+                       info.batcher.executed_past_deadline));
+      violations = true;
+    }
+    std::vector<ChaosPair*> by_ratio;
+    int64_t trips = 0;
+    int64_t probes = 0;
+    bool recovered = true;
+    for (ChaosPair& pair : pairs) {
+      by_ratio.push_back(&pair);
+      trips += pair.trips;
+      probes += pair.probes;
+      recovered = recovered && pair.recovered;
+    }
+    std::sort(by_ratio.begin(), by_ratio.end(),
+              [](const ChaosPair* a, const ChaosPair* b) {
+                return a->ratio < b->ratio;
+              });
+    const ChaosPair& median = *by_ratio[by_ratio.size() / 2];
     std::fprintf(
         stderr,
         "chaos: breaker trips=%lld probes=%lld state=%s recovered=%d "
         "executed_past_deadline=%lld server_nonfinite=%lld "
-        "goodput=%.1f/%.1f rps (floor %lld%%)\n",
-        static_cast<long long>(trips),
-        static_cast<long long>(info_b.batcher.breaker.probes),
-        serve::BreakerStateName(info_b.batcher.breaker.state),
+        "median pair goodput=%.1f/%.1f rps (%.1f%%, floor %lld%%)\n",
+        static_cast<long long>(trips), static_cast<long long>(probes),
+        serve::BreakerStateName(info.batcher.breaker.state),
         recovered ? 1 : 0,
-        static_cast<long long>(info_b.batcher.executed_past_deadline),
-        static_cast<long long>(info_b.batcher.nonfinite_answers),
-        chaos.goodput_rps, nofault.goodput_rps,
-        static_cast<long long>(chaos_floor_pct));
-
-    if (nofault.completed == 0 || chaos.completed == 0) {
-      std::fprintf(stderr, "FAIL: a chaos phase completed zero requests\n");
-      violations = true;
-    }
-    if (nofault.mismatched != 0 || chaos.mismatched != 0) {
-      std::fprintf(stderr, "FAIL: torn answers under overload/chaos\n");
-      violations = true;
-    }
-    if (nofault.nonfinite != 0 || chaos.nonfinite != 0) {
-      std::fprintf(stderr, "FAIL: non-finite answers were delivered\n");
-      violations = true;
-    }
-    if (info_b.batcher.executed_past_deadline != 0) {
+        static_cast<long long>(info.batcher.executed_past_deadline),
+        static_cast<long long>(info.batcher.nonfinite_answers),
+        median.faulted.goodput_rps, median.nofault.goodput_rps,
+        100.0 * median.ratio, static_cast<long long>(chaos_floor_pct));
+    if (median.ratio < chaos_floor_pct / 100.0) {
       std::fprintf(stderr,
-                   "FAIL: %lld request(s) executed past their deadline\n",
-                   static_cast<long long>(
-                       info_b.batcher.executed_past_deadline));
-      violations = true;
-    }
-    if (chaos.internal < 1) {
-      std::fprintf(stderr,
-                   "FAIL: poisoned outputs did not surface as typed "
-                   "Internal errors\n");
-      violations = true;
-    }
-    if (trips < 1) {
-      std::fprintf(stderr, "FAIL: the circuit breaker never tripped\n");
-      violations = true;
-    }
-    if (info_b.batcher.breaker.probes < 1) {
-      std::fprintf(stderr, "FAIL: no half-open probe was admitted\n");
-      violations = true;
-    }
-    if (!recovered ||
-        info_b.batcher.breaker.state != serve::BreakerState::kClosed) {
-      std::fprintf(stderr,
-                   "FAIL: breaker did not recover to closed (state=%s)\n",
-                   serve::BreakerStateName(info_b.batcher.breaker.state));
-      violations = true;
-    }
-    if (chaos.goodput_rps <
-        (chaos_floor_pct / 100.0) * nofault.goodput_rps) {
-      std::fprintf(stderr,
-                   "FAIL: chaos goodput %.1f rps below %lld%% of the "
-                   "no-fault baseline %.1f rps\n",
-                   chaos.goodput_rps,
-                   static_cast<long long>(chaos_floor_pct),
-                   nofault.goodput_rps);
+                   "FAIL: median per-pair chaos goodput ratio %.1f%% below "
+                   "the %lld%% floor\n",
+                   100.0 * median.ratio,
+                   static_cast<long long>(chaos_floor_pct));
       violations = true;
     }
 
@@ -876,25 +928,28 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
         return 1;
       }
+      // nofault/faulted are the median pair's phases.
       std::fprintf(json, "{\"base_rps\": %.2f, \"chaos\": {", base_rps);
       std::fprintf(json, "\"nofault\": {");
-      WritePointFields(json, nofault);
+      WritePointFields(json, median.nofault);
       std::fprintf(json, "}, \"faulted\": {");
-      WritePointFields(json, chaos);
+      WritePointFields(json, median.faulted);
+      std::fprintf(json, "}, \"goodput_ratios\": [");
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        std::fprintf(json, "%s%.3f", p > 0 ? ", " : "", pairs[p].ratio);
+      }
       std::fprintf(
           json,
-          "}, \"breaker_trips\": %lld, \"breaker_probes\": %lld, "
+          "], \"breaker_trips\": %lld, \"breaker_probes\": %lld, "
           "\"breaker_state\": \"%s\", \"recovered\": %d, "
           "\"executed_past_deadline\": %lld, \"server_nonfinite\": %lld, "
           "\"goodput_ratio\": %.3f}}\n",
-          static_cast<long long>(trips),
-          static_cast<long long>(info_b.batcher.breaker.probes),
-          serve::BreakerStateName(info_b.batcher.breaker.state),
+          static_cast<long long>(trips), static_cast<long long>(probes),
+          serve::BreakerStateName(info.batcher.breaker.state),
           recovered ? 1 : 0,
-          static_cast<long long>(info_b.batcher.executed_past_deadline),
-          static_cast<long long>(info_b.batcher.nonfinite_answers),
-          nofault.goodput_rps > 0 ? chaos.goodput_rps / nofault.goodput_rps
-                                  : 0.0);
+          static_cast<long long>(info.batcher.executed_past_deadline),
+          static_cast<long long>(info.batcher.nonfinite_answers),
+          median.ratio);
       std::fclose(json);
       std::fprintf(stderr, "wrote %s\n", json_path.c_str());
     }

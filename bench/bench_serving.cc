@@ -13,12 +13,13 @@
 //                 [--max-batch=N] [--json=FILE]
 //
 // Phases (all serial timings are batch-1 closed-loop):
-//   1. module fp32:  --no-plan session; also the bitwise reference
+//   1. module fp32:  use_plan=false session; also the bitwise reference
 //   2. plan fp32:    default session; plan_speedup = plan / module
 //   2b. unfused plan fp32: LIPF_NO_FUSE session (no epilogue/chain
 //       fusion); fusion_speedup = fused plan / unfused plan
-//   3. batched:      `clients` threads through the micro-batcher (plan)
-//   4. module int8:  --no-plan quantized session; int8 bitwise reference
+//   3. batched:      `clients` threads through the batcher (plan)
+//   4. module int8:  use_plan=false quantized session; int8 bitwise
+//      reference
 //   5. plan int8:    default quantized session
 // plus an untimed profiling pass that prints per-op-kind plan timings.
 //
@@ -292,7 +293,8 @@ int Run(int argc, char** argv) {
   // Phase 3 — batched plan fp32: closed-loop load from `clients`
   // threads, each submitting its stripe of requests one at a time and
   // waiting for the answer, so at most `clients` requests are in
-  // flight — the batcher coalesces them.
+  // flight — the ones that queue while the worker is busy form the next
+  // batch (the served default: no coalescing wait).
   std::vector<Tensor> batched(requests.size());
   std::vector<int> failures(static_cast<size_t>(clients), 0);
   double batched_rps;
@@ -303,7 +305,6 @@ int Run(int argc, char** argv) {
     for (int i = 0; i < 4; ++i) (void)session->Predict(requests[0]);
     serve::BatcherOptions batcher_options;
     batcher_options.max_batch_size = max_batch;
-    batcher_options.max_delay = std::chrono::microseconds(1000);
     batcher_options.queue_capacity = 1024;
     serve::Batcher batcher(session.get(), batcher_options);
 

@@ -3,9 +3,11 @@
 # injected faults and asserts the resilience invariants hold.
 #
 # Part 1 — bench_loadgen --chaos=1: open-loop Poisson load at 1.5x the
-# box's calibrated capacity with per-request deadlines, first fault-free
-# (the overload baseline), then with slow-infer and poison-output faults
-# injected mid-run. The binary exits non-zero unless:
+# box's calibrated capacity with per-request deadlines, in three pairs of
+# a fault-free phase (the overload baseline) and a phase with slow-infer
+# and poison-output faults injected mid-run, alternating which runs first
+# so host load that drifts between phases does not bias the ratio. The
+# binary exits non-zero unless, in every faulted phase:
 #   - the per-model circuit breaker trips on the poisoned forecasts and
 #     recovers to closed via half-open probes once the faults clear,
 #   - zero requests execute past their deadline (batcher invariant
@@ -14,8 +16,8 @@
 #     Internal errors),
 #   - zero torn answers (every delivered answer bitwise matches the
 #     serial reference),
-#   - goodput under faults stays >= LIPF_CHAOS_GOODPUT_FLOOR_PCT% (85 by
-#     default) of the no-fault overload baseline.
+# and unless the median per-pair goodput ratio (faulted / no-fault)
+# stays >= LIPF_CHAOS_GOODPUT_FLOOR_PCT% (85 by default).
 #
 # Part 2 — lipformer_cli serve under LIPF_FAULT: a registry-backed
 # server runs with a stalled reload watcher (watcher_stall_ms) and an

@@ -53,8 +53,8 @@
 //                     process (a bare FILE is served as "default"); route
 //                     requests with a "<name>|" line prefix
 //   --requests=FILE   request lines (default: stdin)
-//   --max-batch=N     micro-batcher coalescing cap (default 16)
-//   --max-delay-ms=N  micro-batcher max wait for stragglers (default 2)
+//   --max-batch=N     largest batch the per-model worker takes from its
+//                     queue when it is free (default 16)
 //   --queue-capacity=N  per-model bounded request queue (default 256);
 //                     the CLI producer blocks for a slot (flow control)
 //                     instead of surfacing backpressure as errors
@@ -63,9 +63,6 @@
 //                     atomic rename swaps it in with zero downtime; a
 //                     bundle failing validation keeps the old model
 //                     serving and logs the error
-//   --no-plan         disable the AOT inference-plan path and serve from
-//                     the module forward (serve/plan.h); results are
-//                     bitwise identical either way.
 //   --deadline-ms=N   per-request deadline (default 0 = none): a request
 //                     that cannot be answered in time completes with
 //                     "error: DeadlineExceeded" instead of occupying the
@@ -156,7 +153,6 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"out", OptionKind::kString},      {"seed", OptionKind::kInt},
     {"threads", OptionKind::kInt},     {"load", OptionKind::kString},
     {"requests", OptionKind::kString}, {"max-batch", OptionKind::kInt},
-    {"max-delay-ms", OptionKind::kInt},
     {"queue-capacity", OptionKind::kInt},
     {"reload-poll-ms", OptionKind::kInt},
     {"deadline-ms", OptionKind::kInt},
@@ -166,7 +162,6 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"snapshot", OptionKind::kString}, {"snapshot-every", OptionKind::kInt},
     {"resume", OptionKind::kString},   {"force", OptionKind::kFlag},
     {"lr-schedule", OptionKind::kString},
-    {"no-plan", OptionKind::kFlag},
 };
 
 const OptionSpec* FindOptionSpec(const std::string& key) {
@@ -713,9 +708,7 @@ namespace {
 
 // Startup banner for one model's compiled plan.
 void PrintPlanBanner(const serve::SessionPlanStats& ps) {
-  if (!ps.enabled) {
-    std::fprintf(stderr, "inference plan: disabled (module path)\n");
-  } else if (!ps.compile_error.empty()) {
+  if (!ps.compile_error.empty()) {
     std::fprintf(stderr, "inference plan: fallback to module path (%s)\n",
                  ps.compile_error.c_str());
   } else {
@@ -743,7 +736,7 @@ void PrintPlanBanner(const serve::SessionPlanStats& ps) {
 // Exit summary of one model's plan-vs-module traffic.
 void PrintPlanSummary(const std::string& name,
                       const serve::SessionPlanStats& ps) {
-  if (!ps.enabled || !ps.compile_error.empty()) return;
+  if (!ps.compile_error.empty()) return;
   std::fprintf(stderr,
                "plan '%s': %lld plan / %lld module request(s), %lld "
                "plan(s) compiled\n",
@@ -783,14 +776,13 @@ void PrintRegistryStatus(const serve::ModelRegistry& registry) {
     std::fprintf(
         stderr,
         "registry:   %s: breaker=%s trips=%lld shed=%lld nonfinite=%lld "
-        "queue=%lld est_batch=%.3fms brownouts=%lld\n",
+        "queue=%lld est_batch=%.3fms\n",
         m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
         static_cast<long long>(m.batcher.breaker.trips),
         static_cast<long long>(m.batcher.shed_overload),
         static_cast<long long>(m.batcher.nonfinite_answers),
         static_cast<long long>(m.batcher.queue_depth),
-        m.batcher.cost_ewma_seconds * 1e3,
-        static_cast<long long>(m.batcher.brownout_batches));
+        m.batcher.cost_ewma_seconds * 1e3);
     if (!m.last_error.empty()) {
       std::fprintf(stderr, "registry:   %s: last reload error: %s\n",
                    m.name.c_str(), m.last_error.c_str());
@@ -809,7 +801,7 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
         "health model=%s breaker=%s trips=%lld probes=%lld "
         "breaker_rejected=%lld queue=%lld est_batch_ms=%.3f shed=%lld "
         "expired=%lld nonfinite=%lld executed_past_deadline=%lld "
-        "brownouts=%lld retry_after_ms=%lld reloads=%lld "
+        "retry_after_ms=%lld reloads=%lld "
         "reload_failures=%lld",
         m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
         static_cast<long long>(m.batcher.breaker.trips),
@@ -821,7 +813,6 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
         static_cast<long long>(m.batcher.expired),
         static_cast<long long>(m.batcher.nonfinite_answers),
         static_cast<long long>(m.batcher.executed_past_deadline),
-        static_cast<long long>(m.batcher.brownout_batches),
         static_cast<long long>(m.batcher.breaker.retry_after.count()),
         static_cast<long long>(m.reloads),
         static_cast<long long>(m.reload_failures));
@@ -909,9 +900,9 @@ class FdLineReader {
 // units), or "error: ..." for malformed/rejected requests. Answers
 // stream in input order as each head-of-line request completes (a
 // dedicated writer thread), so interactive clients get responses without
-// waiting for EOF; requests still coalesce through each model's
-// micro-batcher. A "!stats" line or SIGHUP dumps registry status to
-// stderr; a per-model summary goes to stderr on exit.
+// waiting for EOF; requests that queue while a model's worker is busy
+// run as one batch (serve/batcher.h). A "!stats" line or SIGHUP dumps
+// registry status to stderr; a per-model summary goes to stderr on exit.
 int CmdServe(const CliArgs& args) {
   // --load is repeatable: name=FILE routes by name, bare FILE serves as
   // "default".
@@ -945,10 +936,7 @@ int CmdServe(const CliArgs& args) {
   }
 
   serve::RegistryOptions registry_options;
-  registry_options.session.use_plan = !args.Has("no-plan");
   registry_options.batcher.max_batch_size = args.GetInt("max-batch", 16);
-  registry_options.batcher.max_delay =
-      std::chrono::milliseconds(args.GetInt("max-delay-ms", 2));
   registry_options.batcher.queue_capacity =
       args.GetInt("queue-capacity", 256);
   registry_options.reload_poll =

@@ -258,30 +258,18 @@ void Batcher::WorkerLoop() {
       if (shutdown_) return;  // drained
       continue;
     }
-    if (!shutdown_) {
-      // Coalesce: give concurrent submitters max_delay to fill the batch
-      // — but cap the wait at the earliest queued deadline (minus the
-      // estimated batch cost), so a nearly-expired head-of-line request
-      // fires its batch while it can still be answered instead of
-      // inflating the delay and expiring. On shutdown the remaining
-      // queue is executed immediately.
+    if (!shutdown_ && options_.max_delay.count() > 0) {
+      // Opt-in coalescing: give concurrent submitters max_delay to fill
+      // the batch — but cap the wait at the earliest queued deadline
+      // (minus the estimated batch cost), so a nearly-expired
+      // head-of-line request fires its batch while it can still be
+      // answered instead of inflating the delay and expiring. On
+      // shutdown the remaining queue is executed immediately.
       const auto batch_deadline = Clock::now() + options_.max_delay;
-      // Floor of 2: a single queued request is coalescing, not backlog,
-      // even when the queue capacity itself is 1.
-      const int64_t brownout_depth =
-          std::max<int64_t>(2, options_.queue_capacity / 2);
-      bool brownout = false;
       for (;;) {
         if (shutdown_) break;
         const auto now = Clock::now();
-        const int64_t live = LiveQueueCountLocked(now);
-        if (live >= options_.max_batch_size) break;
-        if (live >= brownout_depth) {
-          // Brownout: the backlog is deep enough that waiting for
-          // stragglers only lengthens the queue; fire immediately.
-          brownout = true;
-          break;
-        }
+        if (LiveQueueCountLocked(now) >= options_.max_batch_size) break;
         auto wait_point = batch_deadline;
         const auto earliest = EarliestDeadlineLocked(now);
         if (earliest != Clock::time_point{}) {
@@ -293,7 +281,6 @@ void Batcher::WorkerLoop() {
         if (now >= wait_point) break;
         cv_.wait_until(lock, wait_point);
       }
-      if (brownout) ++brownout_batches_;
     }
     RunOneBatch(&lock);
   }
@@ -360,7 +347,7 @@ bool Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
   };
 
   // First shed: deadlines can pass between the formation sweep above and
-  // here (the worker may have slept in the coalescing wait since `now`).
+  // here (the expired promises were failed in between).
   // Doing it before the tensor build keeps dead rows out of the copy.
   shed_expired(&batch, Clock::now());
   if (batch.empty()) {
@@ -503,7 +490,6 @@ BatcherStats Batcher::Stats() const {
   stats.nonfinite_answers = nonfinite_answers_;
   stats.executed_past_deadline = executed_past_deadline_;
   stats.batches = batches_;
-  stats.brownout_batches = brownout_batches_;
   stats.queue_depth = LiveQueueCountLocked(now);
   stats.cost_ewma_seconds = cost_ewma_;
   stats.breaker = breaker_.Stats(now);

@@ -13,12 +13,14 @@
 #include "serve/breaker.h"
 #include "serve/session.h"
 
-// Dynamic micro-batching for the inference session. Concurrent callers
-// submit single windows; a worker thread coalesces whatever is queued
-// into one batched Forward (up to max_batch_size, waiting at most
-// max_delay for stragglers), which amortizes per-forward overhead and
-// lets the tensor kernels parallelize across the batch instead of
-// serializing many tiny forwards behind the session mutex.
+// Request queue and single worker for one inference session. Concurrent
+// callers submit single windows; the moment the worker is free it takes
+// up to max_batch_size of whatever is queued and answers them with one
+// PredictBatch. A batch is the session's batch-1 plan run once per row
+// (InferenceSession::PredictBatch), so batching amortizes nothing per
+// request: it only lets a backlog that queued while the worker ran drain
+// in one call, spread over the pool's cores. Nothing waits for
+// stragglers unless a caller opts into coalescing with max_delay > 0.
 //
 // Semantics:
 //  - Backpressure: Submit on a full queue fails fast with
@@ -31,8 +33,8 @@
 //    batch is assembled completes with Status::DeadlineExceeded instead
 //    of occupying batch slots, with a final shed immediately before the
 //    model call so expired work never executes; a nearly-expired
-//    head-of-line request caps the coalescing delay so its batch fires
-//    while it can still be answered.
+//    head-of-line request caps an opt-in coalescing delay so its batch
+//    fires while it can still be answered.
 //  - Admission control: with a per-batch cost estimate (EWMA over
 //    executed batches, seeded from the session's Open-time probe), a
 //    request whose deadline cannot survive the estimated queue drain —
@@ -42,9 +44,7 @@
 //  - Degraded modes: consecutive failures (model errors or non-finite
 //    forecasts, which are suppressed into typed Internal errors) trip a
 //    per-model circuit breaker (serve/breaker.h) that sheds instantly
-//    while open and recovers through half-open probes. Under a deep
-//    backlog the worker browns out the coalescing delay (batches fire
-//    as soon as the worker is free) to shorten the queue.
+//    while open and recovers through half-open probes.
 //  - Shutdown drains: pending accepted requests are still executed;
 //    only new submissions are rejected.
 //  - Determinism: results are bitwise identical to an unbatched
@@ -55,10 +55,12 @@ namespace lipformer {
 namespace serve {
 
 struct BatcherOptions {
-  // Largest coalesced batch per Forward.
+  // Largest batch per PredictBatch call.
   int64_t max_batch_size = 16;
-  // How long the worker waits for more requests once one is pending.
-  std::chrono::microseconds max_delay{1000};
+  // Opt-in coalescing: how long the worker waits for more requests once
+  // one is pending. Zero (the default) fires each batch as soon as the
+  // worker is free.
+  std::chrono::microseconds max_delay{0};
   // Accepted-but-unexecuted request cap; Submit rejects beyond it.
   int64_t queue_capacity = 256;
   // Admission cap on the estimated queue drain (excluding the request's
@@ -91,8 +93,7 @@ struct BatcherStats {
   // execution shed keeps this at 0 for any realistic deadline; the chaos
   // gate asserts it.
   int64_t executed_past_deadline = 0;
-  int64_t batches = 0;            // batched Forward calls
-  int64_t brownout_batches = 0;   // fired with the coalescing delay cut
+  int64_t batches = 0;            // PredictBatch calls
   int64_t queue_depth = 0;        // live queued requests right now
   double cost_ewma_seconds = 0;   // current per-batch cost estimate
   BreakerStats breaker;
@@ -182,7 +183,6 @@ class Batcher {
   int64_t nonfinite_answers_ = 0;
   int64_t executed_past_deadline_ = 0;
   int64_t batches_ = 0;
-  int64_t brownout_batches_ = 0;
   // EWMA of executed batch duration (seconds); 0 = no estimate yet.
   double cost_ewma_ = 0;
   CircuitBreaker breaker_;

@@ -1,6 +1,5 @@
 #include "tensor/storage_pool.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <new>
 
@@ -38,14 +37,7 @@ struct Pool {
 // Leaked on purpose: Tensors with static storage duration may release
 // after any pool destructor would have run.
 Pool& ThePool() {
-  static Pool* pool = [] {
-    Pool* p = new Pool;
-    const char* env = std::getenv("LIPF_DISABLE_POOL");
-    if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-      p->enabled.store(false, std::memory_order_relaxed);
-    }
-    return p;
-  }();
+  static Pool* pool = new Pool;
   return *pool;
 }
 

@@ -18,11 +18,11 @@
 // must write every element before reading. Tensor(Shape) and
 // Tensor::Zeros keep their zero-fill semantics on top of Acquire.
 //
-// The pool never changes numerics: it only recycles memory. Escape hatch:
-// LIPF_DISABLE_POOL=1 in the environment starts the process with the pool
-// disabled (every acquire is a heap alloc, every release a free), and
-// SetStoragePoolEnabled toggles it at runtime. Blocks remember how they
-// were allocated, so toggling mid-process is safe.
+// The pool never changes numerics: it only recycles memory.
+// SetStoragePoolEnabled(false) turns it off (every acquire is a heap
+// alloc, every release a free); tests use it to compare against the
+// pooled path. Blocks remember how they were allocated, so toggling
+// mid-process is safe.
 
 namespace lipformer {
 
@@ -106,8 +106,8 @@ struct StoragePoolStats {
 StoragePoolStats GetStoragePoolStats();
 void ResetStoragePoolCounters();  // zeroes counters, keeps the gauges
 
-// Pool on/off. Initial state honours LIPF_DISABLE_POOL=1; toggling only
-// affects blocks allocated afterwards.
+// Pool on/off (on at startup); toggling only affects blocks allocated
+// afterwards.
 bool StoragePoolEnabled();
 void SetStoragePoolEnabled(bool enabled);
 

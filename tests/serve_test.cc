@@ -676,30 +676,33 @@ TEST_F(SessionTest, BatcherConcurrentResultsBitwiseMatchSerial) {
   EXPECT_GE(stats.p999_latency_seconds, stats.p99_latency_seconds);
 }
 
-TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
-  auto opened = serve::InferenceSession::Open(path_);
-  ASSERT_TRUE(opened.ok());
-
-  // A 2-slot queue browns out at depth 2, so the worker fires as soon as
-  // two requests are queued. To fill the queue deterministically, keep
-  // the worker busy: its first batched forward (two blockers) stalls for
-  // an injected 500 ms, and the queue is filled while it sleeps.
-  serve::BatcherOptions opts;
-  opts.max_batch_size = 64;
-  opts.max_delay = std::chrono::seconds(30);
-  opts.queue_capacity = 2;
-  serve::Batcher batcher(opened.value().get(), opts);
-  fault::Arm("slow_infer_ms=500,slow_infer_at=1,slow_infer_count=1");
-
-  auto b1 = batcher.Submit(RandomTensor({24, 2}, 198));
-  auto b2 = batcher.Submit(RandomTensor({24, 2}, 199));
-  // The worker has popped both blockers once the queue reads empty.
+// Waits until the batcher's worker has popped every queued request; with
+// an injected slow forward it then sits in that batch while the caller
+// queues more behind it.
+void WaitForEmptyQueue(const serve::Batcher& batcher) {
   const auto give_up = std::chrono::steady_clock::now() +
                        std::chrono::seconds(10);
   while (batcher.Stats().queue_depth != 0 &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+}
+
+TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
+  auto opened = serve::InferenceSession::Open(path_);
+  ASSERT_TRUE(opened.ok());
+
+  // The worker fires as soon as it is free, so to fill the 2-slot queue
+  // deterministically keep it busy: its first forward (one blocker)
+  // stalls for an injected 500 ms, and the queue is filled while it
+  // sleeps.
+  serve::BatcherOptions opts;
+  opts.queue_capacity = 2;
+  serve::Batcher batcher(opened.value().get(), opts);
+  fault::Arm("slow_infer_ms=500,slow_infer_at=1,slow_infer_count=1");
+
+  auto blocker = batcher.Submit(RandomTensor({24, 2}, 198));
+  WaitForEmptyQueue(batcher);
   ASSERT_EQ(batcher.Stats().queue_depth, 0);
 
   auto f1 = batcher.Submit(RandomTensor({24, 2}, 200));
@@ -722,8 +725,7 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r1.value().shape(), (Shape{6, 2}));
-  EXPECT_TRUE(b1.get().ok());
-  EXPECT_TRUE(b2.get().ok());
+  EXPECT_TRUE(blocker.get().ok());
 
   // After shutdown new submissions are rejected.
   auto f4 = batcher.Submit(RandomTensor({24, 2}, 203));
@@ -732,9 +734,50 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   EXPECT_EQ(r4.status().code(), StatusCode::kUnavailable);
 
   const serve::BatcherStats stats = batcher.Stats();
-  EXPECT_EQ(stats.submitted, 4);  // two blockers + f1, f2
-  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.submitted, 3);  // the blocker + f1, f2
+  EXPECT_EQ(stats.completed, 3);
   EXPECT_EQ(stats.rejected_full, 1);
+}
+
+// Default options never wait for stragglers, yet a backlog still batches:
+// everything that queued while the worker was busy runs as one batch,
+// each answer bitwise equal to a serial Predict of its window.
+TEST_F(SessionTest, DefaultBatcherBatchesTheBacklogThatQueuedWhileBusy) {
+  auto opened = serve::InferenceSession::Open(path_);
+  ASSERT_TRUE(opened.ok());
+  serve::InferenceSession* session = opened.value().get();
+
+  constexpr int kQueued = 5;
+  std::vector<Tensor> windows;
+  std::vector<Tensor> expected;
+  for (int i = 0; i < kQueued; ++i) {
+    windows.push_back(RandomTensor({24, 2}, 210 + i));
+    auto serial = session->Predict(windows.back());
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    expected.push_back(serial.value());
+  }
+
+  serve::Batcher batcher(session, {});
+  fault::Arm("slow_infer_ms=500,slow_infer_at=1,slow_infer_count=1");
+  auto blocker = batcher.Submit(RandomTensor({24, 2}, 209));
+  WaitForEmptyQueue(batcher);
+  ASSERT_EQ(batcher.Stats().queue_depth, 0);
+
+  std::vector<std::future<Result<Tensor>>> queued;
+  for (const Tensor& window : windows) queued.push_back(batcher.Submit(window));
+  EXPECT_TRUE(blocker.get().ok());
+  for (int i = 0; i < kQueued; ++i) {
+    Result<Tensor> r = queued[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(r.value(), expected[static_cast<size_t>(i)]))
+        << "request " << i;
+  }
+  fault::Disarm();
+
+  const serve::BatcherStats stats = batcher.Stats();
+  EXPECT_EQ(stats.batches, 2);  // the blocker, then the five together
+  EXPECT_EQ(stats.batch_size_histogram[0], 1);
+  EXPECT_EQ(stats.batch_size_histogram[kQueued - 1], 1);
 }
 
 TEST_F(SessionTest, BatcherExpiresMissedDeadlines) {
